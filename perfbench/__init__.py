@@ -1,0 +1,1 @@
+"""Layer-attributed end-to-end benchmark of the reproduction (see README.md)."""
