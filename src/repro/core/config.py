@@ -1,7 +1,7 @@
 """One frozen run configuration for the scattered ``REPRO_*`` toggles.
 
-Before this module, four environment variables steered performance
-plumbing from four different modules:
+Four environment variables steer performance plumbing owned by three
+different modules:
 
 ============================  =========================================
 ``REPRO_CLOSENESS_KERNEL``    fused bit-plane kernel on/off
@@ -54,56 +54,6 @@ from repro.core.online import OnlineSpec
 #: :mod:`repro.experiments.parallel`, which owns the pool.
 SHARD_JOBS_ENV_VAR = "REPRO_SHARD_JOBS"
 
-#: Event-queue implementation for the simulation engine.  Defined here
-#: (the lowest layer that documents it) and consumed by
-#: :func:`repro.sim.engine.make_simulator`, which owns the engines.
-ENGINE_ENV_VAR = "REPRO_ENGINE"
-
-#: Valid engine names: ``heap`` is the reference binary heap,
-#: ``calendar`` the bucketed calendar queue (bit-identical order).
-ENGINE_CHOICES = ("heap", "calendar")
-
-
-def engine_from_env(default: str = "heap") -> str:
-    """Parse :data:`ENGINE_ENV_VAR` (malformed/unknown → default)."""
-    raw = os.environ.get(ENGINE_ENV_VAR, default).strip().lower()
-    if raw not in ENGINE_CHOICES:
-        return default
-    return raw
-
-
-def resolve_engine(choice: Optional[str]) -> str:
-    """Engine name under the standard explicit > env > default order.
-
-    An explicit unknown name is a hard error (a typo in code or on the
-    CLI must fail loudly); only the environment variable degrades
-    silently to the default.
-    """
-    if choice is None:
-        return engine_from_env()
-    name = choice.strip().lower()
-    if name not in ENGINE_CHOICES:
-        raise ValueError(
-            f"unknown engine {choice!r}; expected one of {ENGINE_CHOICES}"
-        )
-    return name
-
-
-#: Environment toggle for batched fault-free client delivery: one
-#: engine event drains a whole publication fan-out instead of one event
-#: per subscriber.  On by default; any of ``0/false/off/no`` disables.
-DELIVERY_BATCH_ENV_VAR = "REPRO_DELIVERY_BATCH"
-
-_FALSY = frozenset(("0", "false", "off", "no"))
-
-
-def delivery_batch_from_env(default: bool = True) -> bool:
-    """Parse :data:`DELIVERY_BATCH_ENV_VAR` (unset → default)."""
-    raw = os.environ.get(DELIVERY_BATCH_ENV_VAR)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in _FALSY
-
 
 def shard_jobs_from_env(default: int = 1) -> int:
     """Parse :data:`SHARD_JOBS_ENV_VAR` (malformed/negative → default)."""
@@ -136,10 +86,6 @@ class RunConfig:
         An :class:`~repro.core.online.OnlineSpec` enabling online
         incremental reallocation between full CROC cycles; ``None``
         leaves the classic full-cycle-only schedule.
-    engine:
-        Event-queue structure for the simulation engine (``heap`` /
-        ``calendar``, see :mod:`repro.sim.engine`); both execute the
-        identical event order, so this is a pure speed knob.
     """
 
     use_kernel: Optional[bool] = None
@@ -147,9 +93,6 @@ class RunConfig:
     columnar_backend: Optional[str] = None
     shard_jobs: Optional[int] = None
     online: Optional[OnlineSpec] = None
-    #: Simulation-engine queue structure: ``heap`` (reference) or
-    #: ``calendar`` (bucketed calendar queue, bit-identical order).
-    engine: Optional[str] = None
     #: An :class:`~repro.core.energy.EnergySpec` attaching post-hoc
     #: energy accounting to each measurement; ``None`` = off.  Pure
     #: arithmetic over already-measured counters — never a behavioral
@@ -157,8 +100,6 @@ class RunConfig:
     energy: Optional[EnergySpec] = None
 
     def __post_init__(self) -> None:
-        if self.engine is not None:
-            object.__setattr__(self, "engine", resolve_engine(self.engine))
         if self.columnar_backend is not None:
             name = self.columnar_backend.strip().lower()
             if name not in ("auto", "numpy", "python"):
@@ -189,7 +130,6 @@ class RunConfig:
                 if self.shard_jobs is not None
                 else shard_jobs_from_env()
             ),
-            engine=resolve_engine(self.engine),
         )
 
     def allocator_knobs(self) -> Dict[str, Any]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional
 
 from repro.core.capacity import AllocationResult, BrokerSpec
@@ -181,7 +181,8 @@ class Croc:
           *silent*: their specs are excluded from the plannable pool,
           and when ``use_cache`` their last-known reports are
           substituted so their subscriptions re-home onto live brokers
-          — a *degraded* plan.
+          — a *degraded* plan.  Cached records whose subscription a
+          live broker reports are dropped (the subscriber has moved).
         """
         brokers = network.active_brokers
         if not brokers:
@@ -209,11 +210,22 @@ class Croc:
             broker_id for broker_id in brokers if broker_id not in reports
         )
         cached: List[str] = []
-        if use_cache:
+        if use_cache and silent:
+            # A cached report predates any migration since it was taken:
+            # drop records a live broker now reports, or the plan would
+            # place those subscriptions twice.
+            live = {
+                record.sub_id
+                for report in answer.reports.values()
+                for record in report.subscriptions
+            }
             for broker_id in silent:
                 cached_report = self._report_cache.get(broker_id)
                 if cached_report is not None:
-                    reports[broker_id] = cached_report
+                    reports[broker_id] = replace(cached_report, subscriptions=[
+                        record for record in cached_report.subscriptions
+                        if record.sub_id not in live
+                    ])
                     cached.append(broker_id)
         self._report_cache.update(answer.reports)
         gathered = self._assemble(reports)

@@ -42,7 +42,7 @@ from repro.obs.timeline import TimelineSampler
 from repro.pubsub.client import PublisherClient, SubscriberClient
 from repro.pubsub.metrics import MetricsSummary
 from repro.pubsub.network import PubSubNetwork
-from repro.sim.engine import make_simulator
+from repro.sim.engine import Simulator
 from repro.sim.faults import FaultPlan
 from repro.sim.rng import SeededRng
 from repro.workloads.scenarios import Scenario
@@ -199,7 +199,7 @@ class ExperimentRunner:
     def _build_network(self) -> PubSubNetwork:
         scenario = self.scenario
         network = PubSubNetwork(
-            sim=make_simulator(self.config.engine),
+            sim=Simulator(),
             profile_capacity=scenario.profile_capacity,
             enable_covering=scenario.enable_covering,
         )

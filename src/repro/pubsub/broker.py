@@ -217,10 +217,9 @@ class Broker:
     def _serialize_publication(self, size_kb: float) -> float:
         """Advance the publication output lane by one message.
 
-        Returns the virtual time serialization completes — the same
-        FIFO bandwidth-limiter arithmetic whether the delivery is then
-        scheduled per destination or drained by one batched fan-out
-        event.
+        Returns the virtual time serialization completes: copies queue
+        FIFO behind the lane's bandwidth limiter, so each one's send
+        time is its predecessor's plus its own serialization time.
         """
         bandwidth = self.spec.total_output_bandwidth
         serialization = size_kb / bandwidth if bandwidth > 0 else 0.0
@@ -239,38 +238,10 @@ class Broker:
         if clients:
             local = self.local_clients
             size_kb = publication.size_kb
-            if self._network.delivery_batching:
-                # Fault-free fan-out: run the same per-subscriber lane
-                # arithmetic and send accounting, then hand the whole
-                # fan-out to the network as one batched delivery event
-                # instead of one event per subscriber.
-                sends = []
-                on_send = self._metrics.on_send
-                cbc_on_delivery = self.cbc.on_delivery
-                broker_id = self.broker_id
-                # The publication lane arithmetic of
-                # _serialize_publication, hoisted: now and the per-copy
-                # serialization time are loop constants.
-                bandwidth = self.spec.total_output_bandwidth
-                serialization = size_kb / bandwidth if bandwidth > 0 else 0.0
-                now = self._sim.now
-                free_at = self._out_free_at
-                for subscription, destination in clients:
-                    if destination[1] not in local:
-                        continue
-                    cbc_on_delivery(subscription.sub_id, publication)
-                    start = free_at if free_at > now else now
-                    free_at = start + serialization
-                    on_send(broker_id, size_kb, True, to_client=True)
-                    sends.append((free_at, destination[1]))
-                if sends:
-                    self._out_free_at = free_at
-                    self._network.deliver_fanout(broker_id, publication, sends)
-            else:
-                for subscription, destination in clients:
-                    if destination[1] in local:
-                        self.cbc.on_delivery(subscription.sub_id, publication)
-                        self._transmit(destination, publication, size_kb)
+            for subscription, destination in clients:
+                if destination[1] in local:
+                    self.cbc.on_delivery(subscription.sub_id, publication)
+                    self._transmit(destination, publication, size_kb)
         tracer = self._network.tracer
         for broker_id in sorted(forwarded_brokers):
             if tracer is not None:

@@ -14,14 +14,13 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.bitvector import DEFAULT_CAPACITY
 from repro.core.capacity import BrokerSpec
-from repro.core.config import delivery_batch_from_env
 from repro.core.deployment import Deployment
 from repro.pubsub.broker import BROKER, Broker, CLIENT, Destination
 from repro.pubsub.client import PublisherClient, SubscriberClient
 from repro.pubsub.faults import FaultInjector
 from repro.pubsub.message import Publication
 from repro.pubsub.metrics import MetricsCollector
-from repro.sim.engine import SimulatorCore, make_simulator
+from repro.sim.engine import Simulator
 from repro.sim.faults import FaultPlan
 
 #: One-way link latency inside the data center (seconds).
@@ -34,74 +33,18 @@ DEFAULT_LINK_LATENCY = 0.0005
 DEFAULT_BIR_TIMEOUT = 2.0
 
 
-class _FanoutBatch:
-    """One batched publication fan-out, drained by a single event.
-
-    ``entries`` holds ``(arrival, client_id)`` pairs in arrival order
-    (the sender's FIFO output lane makes them non-decreasing).  The
-    network schedules :meth:`fire` at the *last* arrival; deliveries
-    carry their own arrival time, so every per-delivery observable
-    (delay, hop count, subscriber bookkeeping) is the value the
-    per-destination schedule would have produced.
-    """
-
-    __slots__ = ("_network", "message", "entries", "index")
-
-    def __init__(self, network: "PubSubNetwork", message: Publication,
-                 entries: List[Tuple[float, str]]):
-        self._network = network
-        self.message = message
-        self.entries = entries
-        self.index = 0
-
-    def drain(self, until: float) -> None:
-        """Deliver every not-yet-delivered entry with arrival <= until.
-
-        Inlined subscriber delivery: batches exist only on the
-        fault-free, untraced path, and publications are matched out of
-        the SRT, so no entry can name a control client — the full
-        :meth:`PubSubNetwork._deliver_to_client` dispatch would re-test
-        both per subscriber.
-        """
-        network = self._network
-        subscribers = network.subscribers
-        on_delivery = network.metrics.on_delivery
-        message = self.message
-        publish_time = message.publish_time
-        hops = message.hops
-        entries = self.entries
-        index = self.index
-        size = len(entries)
-        while index < size:
-            arrival, client_id = entries[index]
-            if arrival > until:
-                break
-            index += 1
-            subscriber = subscribers.get(client_id)
-            if subscriber is None:
-                continue  # migrated away mid-flight
-            on_delivery(arrival - publish_time, hops)
-            subscriber.receive(message, arrival)
-        self.index = index
-
-    def fire(self) -> None:
-        """Drain the whole batch at its final arrival time."""
-        self.drain(float("inf"))
-        self._network._pending_batches.remove(self)
-
-
 class PubSubNetwork:
     """A complete simulated publish/subscribe deployment."""
 
     def __init__(
         self,
-        sim: Optional[SimulatorCore] = None,
+        sim: Optional[Simulator] = None,
         link_latency: float = DEFAULT_LINK_LATENCY,
         profile_capacity: int = DEFAULT_CAPACITY,
         enable_covering: bool = False,
         bir_timeout: float = DEFAULT_BIR_TIMEOUT,
     ):
-        self.sim = sim if sim is not None else make_simulator()
+        self.sim = sim if sim is not None else Simulator()
         self.metrics = MetricsCollector(self.sim)
         self.link_latency = link_latency
         self.profile_capacity = profile_capacity
@@ -131,10 +74,6 @@ class PubSubNetwork:
         #: Optional repro.pubsub.tracing.MessageTracer; brokers and the
         #: network record publication trace events while it is set.
         self.tracer = None
-        #: Fan-out batching knob (:data:`REPRO_DELIVERY_BATCH`) and the
-        #: batches whose final-arrival event has not fired yet.
-        self._delivery_batching = delivery_batch_from_env()
-        self._pending_batches: List[_FanoutBatch] = []
 
     # ------------------------------------------------------------------
     # Construction
@@ -270,63 +209,6 @@ class PubSubNetwork:
         receive = self._receive_of[broker_id]
         self.sim.schedule(delay, lambda: receive(message, source))
 
-    @property
-    def delivery_batching(self) -> bool:
-        """Whether client fan-outs may be drained by one batched event.
-
-        Batching must be observably identical to the per-destination
-        schedule, so it switches off whenever something watches or
-        perturbs individual deliveries: a tracer records per-delivery
-        events at ``sim.now``, and a fault plan with loss or jitter
-        draws from the transit RNG once per scheduled delivery.  Crash
-        and link fault events never touch client deliveries, so an
-        otherwise-degradation-free plan keeps the fast path.
-        """
-        if not self._delivery_batching or self.tracer is not None:
-            return False
-        faults = self.faults
-        if faults is None:
-            return True
-        plan = faults.plan
-        return plan.loss_rate <= 0.0 and plan.jitter <= 0.0
-
-    def deliver_fanout(self, sender_broker: str, message: Publication,
-                       sends: List[Tuple[float, str]]) -> None:
-        """Complete a whole client fan-out with one scheduled event.
-
-        ``sends`` is the per-subscriber ``(sent_at, client_id)`` list
-        in transmission order.  One-destination fan-outs keep the plain
-        per-destination schedule; larger ones register a
-        :class:`_FanoutBatch` that fires at the last arrival and is
-        partially drained by :meth:`flush_deliveries` at run
-        boundaries.
-        """
-        latency = self.link_latency
-        if len(sends) == 1:
-            sent_at, client_id = sends[0]
-            arrival = sent_at + latency
-            self.sim.schedule_at(
-                arrival, lambda: self._deliver_to_client(client_id, message, arrival)
-            )
-            return
-        entries = [(sent_at + latency, client_id) for sent_at, client_id in sends]
-        batch = _FanoutBatch(self, message, entries)
-        self._pending_batches.append(batch)
-        self.sim.schedule_at(entries[-1][0], batch.fire)
-
-    def flush_deliveries(self, until: float) -> None:
-        """Deliver batched entries due by ``until`` whose batch event
-        is still in the future.
-
-        Called at the end of :meth:`run` so window boundaries see every
-        delivery with arrival <= ``until``, exactly like the
-        per-destination schedule would.  Batches are never emptied
-        here: their last entry arrives at the batch event's own time,
-        which is past ``until`` or the event would already have fired.
-        """
-        for batch in self._pending_batches:
-            batch.drain(until)
-
     def deliver(self, sender_broker: str, destination: Destination, message: Any,
                 sent_at: float) -> None:
         """Complete a broker transmission after serialization + latency."""
@@ -382,8 +264,7 @@ class PubSubNetwork:
         """Drop a control client; late replies to it are discarded."""
         self._control_clients.pop(client_id, None)
 
-    def _deliver_to_client(self, client_id: str, message: Any,
-                           arrival: Optional[float] = None) -> None:
+    def _deliver_to_client(self, client_id: str, message: Any) -> None:
         control = self._control_clients.get(client_id)
         if control is not None:
             control(message)
@@ -392,10 +273,7 @@ class PubSubNetwork:
         if subscriber is None:
             return  # publisher clients, or client migrated away mid-flight
         if isinstance(message, Publication):
-            # Batched deliveries pass their own arrival time (the batch
-            # event runs at the *last* arrival); per-destination events
-            # run exactly at arrival, so the clock is the same thing.
-            now = self.sim.now if arrival is None else arrival
+            now = self.sim.now
             if self.tracer is not None:
                 self.tracer.record(now, "deliver", client_id,
                                    message.adv_id, message.message_id,
@@ -466,8 +344,6 @@ class PubSubNetwork:
             self.obs_sampler.run(until)
         else:
             self.sim.run(until=until)
-        if self._pending_batches:
-            self.flush_deliveries(until)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

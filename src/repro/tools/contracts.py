@@ -56,9 +56,8 @@ Several families of checks, all whole-program:
 * **Engine queue encapsulation** — ``heapq`` imports and ``heapq.*``
   calls are allowed only in :mod:`repro.sim.engine`.  The event queue
   is the engine's private structure; a heap maintained anywhere else
-  bypasses the ``REPRO_ENGINE`` heap/calendar toggle and the engine's
-  determinism contract (tie order, cancellation accounting,
-  same-timestamp batching).
+  bypasses the engine's determinism contract: insertion-order tie
+  breaking and the cancelled-event accounting that drives compaction.
 """
 
 from __future__ import annotations
@@ -593,10 +592,10 @@ def _energy_comparison_findings(info: ModuleInfo) -> Iterator[Finding]:
 
 #: The one module allowed to use ``heapq``: the simulation engine owns
 #: the event-queue structure.  Everything else schedules through
-#: ``SimulatorCore``, so the heap/calendar engines stay interchangeable
-#: (``REPRO_ENGINE``) — a private heap elsewhere would silently bypass
-#: that toggle and the engine's determinism contract (tie order,
-#: cancellation accounting, same-timestamp batching).
+#: ``Simulator`` — a private heap elsewhere would silently bypass the
+#: engine's tie order (insertion order within a timestamp) and its
+#: cancellation accounting (the cancelled-event count that drives
+#: compaction).
 _QUEUE_OWNER = "repro.sim.engine"
 
 
@@ -611,8 +610,8 @@ def _heapq_findings(info: ModuleInfo) -> Iterator[Finding]:
             node.col_offset,
             "api-contract",
             f"{what} outside {_QUEUE_OWNER}: the event queue belongs to "
-            "the engine — schedule through SimulatorCore so the "
-            "heap/calendar toggle and the determinism contract apply",
+            "the engine — schedule through Simulator so its tie order "
+            "and cancellation accounting apply",
         )
 
     for node in ast.walk(info.module.tree):

@@ -16,6 +16,7 @@ from repro.core.binpacking import BinPackingAllocator
 from repro.core.croc import Croc, ReconfigurationError
 from repro.core.deployment import BrokerTree, Deployment
 from repro.experiments.continuous import ContinuousReconfigurator
+from repro.pubsub.message import CONTROL_MESSAGE_KB, Unsubscription
 from repro.sim.faults import CRASH, FaultEvent, FaultPlan, LINK_DOWN, RECOVER
 from repro.sim.rng import SeededRng
 
@@ -335,6 +336,32 @@ class TestRobustGather:
         assert degraded.records[0].home_broker == "b3"
         # ...but the dead broker is not plannable.
         assert "b3" not in {spec.broker_id for spec in degraded.broker_pool}
+
+    def test_cached_report_skips_subscriptions_now_live_elsewhere(self):
+        """A subscriber that left the silent broker after the cache was
+        primed is planned once, from its live broker's report."""
+        network = _star_network(3)  # subscriber lives on leaf b3
+        croc = Croc(allocator_factory=BinPackingAllocator)
+        croc.gather(network)  # primes the report cache with s1 on b3
+        subscriber = network.subscribers["s1"]
+        for subscription in subscriber.subscriptions:
+            network.client_send("s1", "b3", Unsubscription(
+                subscription.sub_id, "s1"), CONTROL_MESSAGE_KB)
+        network.brokers["b3"].detach_client("s1")
+        subscriber.detached()
+        network.run(1.0)
+        network.brokers["b1"].attach_client("s1")
+        subscriber.attached(network, "b1")
+        network.run(3.0)
+        injector = network.install_faults(FaultPlan())
+        injector.crash_now("b3")
+        degraded = croc.gather(network)
+        assert degraded.silent_brokers == ["b3"]
+        assert degraded.cached_brokers == ["b3"]
+        assert degraded.subscription_count == 1
+        assert degraded.records[0].home_broker == "b1"
+        # The cache entry itself is untouched.
+        assert len(croc._report_cache["b3"].subscriptions) == 1
 
     def test_use_cache_false_drops_silent_records(self):
         network = _star_network(3)
