@@ -29,19 +29,24 @@ Besides printing the aligned tables, every figure is recorded as JSON:
 :func:`print_figure` (and :func:`record_bench` for suites with extra
 payload) append rows to an in-memory registry that a session-scoped
 fixture flushes to ``BENCH_<suite>.json`` under ``REPRO_BENCH_OUT``.
-Each file carries the scenario knobs active for the run, so a CI
-artifact is enough to reconstruct what was measured.
+Each file carries the scenario knobs active for the run and a
+``provenance`` object (git SHA or ``"unknown"`` outside a checkout,
+usable CPUs, Python version, platform), so a CI artifact is enough to
+reconstruct what was measured and where.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
 import re
+import subprocess
 from typing import Dict, List, Tuple
 
 import pytest
 
+from repro.experiments.parallel import usable_cpus
 from repro.experiments.runner import APPROACHES, ExperimentRunner
 from repro.workloads.scenarios import Scenario
 
@@ -85,6 +90,28 @@ def _knobs() -> dict:
     }
 
 
+def _git_sha() -> str:
+    """HEAD of the checkout holding this file, or ``"unknown"``."""
+    try:
+        completed = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True, text=True, check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return completed.stdout.strip() or "unknown"
+
+
+def _provenance() -> dict:
+    return {
+        "git_sha": _git_sha(),
+        "usable_cpus": usable_cpus(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+    }
+
+
 def record_bench(suite: str, rows: List[dict], title: str = "", **extra) -> None:
     """Register a figure's rows for the machine-readable trajectory.
 
@@ -117,11 +144,13 @@ def bench_trajectory():
     """Flush every recorded suite to ``BENCH_<suite>.json`` on exit."""
     yield
     os.makedirs(BENCH_OUT, exist_ok=True)
+    provenance = _provenance()
     for suite, entry in sorted(_RECORDED.items()):
         payload = {
             "suite": suite,
             "title": entry["title"],
             "knobs": _knobs(),
+            "provenance": provenance,
             "rows": entry["rows"],
         }
         payload.update(entry["extra"])

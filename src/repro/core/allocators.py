@@ -49,8 +49,8 @@ AllocatorBuilder = Callable[..., AllocatorFactory]
 #: The capability vocabulary specs may advertise:
 #: ``incremental`` — exposes ``plan_migrations`` for the online
 #: scheduler; ``sharded`` — partitions Phase 2 across shard workers;
-#: ``kernel_aware`` — honors the ``use_kernel``/``use_columnar``/
-#: ``columnar_backend`` knobs of :class:`~repro.core.config.RunConfig`;
+#: ``kernel_aware`` — honors the ``use_kernel`` knob of
+#: :class:`~repro.core.config.RunConfig`;
 #: ``energy_aware`` — accepts the ``energy`` knob (an
 #: :class:`~repro.core.energy.EnergySpec`) and carries it for
 #: energy-conscious scheduling decisions (never altering allocations).
@@ -224,8 +224,6 @@ class _CramBuilder:
         self,
         failure_budget: Any = None,
         use_kernel: Optional[bool] = None,
-        use_columnar: Optional[bool] = None,
-        columnar_backend: Optional[str] = None,
         **_: Any,
     ) -> AllocatorFactory:
         metric, budget = self.metric, failure_budget
@@ -233,8 +231,6 @@ class _CramBuilder:
             metric=metric,
             failure_budget=budget,
             use_kernel=use_kernel,
-            use_columnar=use_columnar,
-            columnar_backend=columnar_backend,
         )
 
 
@@ -257,8 +253,6 @@ class _ShardedCramBuilder:
         self,
         failure_budget: Any = None,
         use_kernel: Optional[bool] = None,
-        use_columnar: Optional[bool] = None,
-        columnar_backend: Optional[str] = None,
         **_: Any,
     ) -> AllocatorFactory:
         metric, shards, budget = self.metric, self.shards, failure_budget
@@ -267,8 +261,6 @@ class _ShardedCramBuilder:
             shards=shards,
             failure_budget=budget,
             use_kernel=use_kernel,
-            use_columnar=use_columnar,
-            columnar_backend=columnar_backend,
         )
 
 
@@ -291,8 +283,6 @@ class _OnlineBuilder:
         online: Optional[OnlineSpec] = None,
         energy: Any = None,
         use_kernel: Optional[bool] = None,
-        use_columnar: Optional[bool] = None,
-        columnar_backend: Optional[str] = None,
         **_: Any,
     ) -> AllocatorFactory:
         strategy, metric, budget = self.strategy, self.metric, failure_budget
@@ -304,8 +294,6 @@ class _OnlineBuilder:
             spec=spec,
             energy=energy_spec,
             use_kernel=use_kernel,
-            use_columnar=use_columnar,
-            columnar_backend=columnar_backend,
         )
 
 

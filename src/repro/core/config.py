@@ -1,14 +1,11 @@
 """One frozen run configuration for the scattered ``REPRO_*`` toggles.
 
-Four environment variables steer performance plumbing owned by three
+Two environment variables steer performance plumbing owned by two
 different modules:
 
 ============================  =========================================
 ``REPRO_CLOSENESS_KERNEL``    fused bit-plane kernel on/off
                               (:mod:`repro.core.kernel`)
-``REPRO_COLUMNAR``            columnar row store on/off
-                              (:mod:`repro.core.columnar`)
-``REPRO_COLUMNAR_BACKEND``    ``auto`` / ``numpy`` / ``python``
 ``REPRO_SHARD_JOBS``          shard-task worker count
                               (:mod:`repro.experiments.parallel`)
 ============================  =========================================
@@ -22,8 +19,8 @@ Precedence (single order, everywhere)
 -------------------------------------
 1. an explicit non-``None`` ``RunConfig`` field set in code or via CLI;
 2. the corresponding ``REPRO_*`` environment variable;
-3. the built-in default (kernel on, columnar on, backend ``auto``,
-   shard jobs serial, online reallocation off).
+3. the built-in default (kernel on, shard jobs serial, online
+   reallocation off).
 
 Fields left ``None`` mean "defer to 2–3" — the modules owning each
 toggle already implement that fallback, so a default-constructed
@@ -43,7 +40,6 @@ import os
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional
 
-from repro.core.columnar import columnar_enabled, resolve_backend
 from repro.core.energy import EnergySpec
 from repro.core.kernel import kernel_enabled
 from repro.core.online import OnlineSpec
@@ -73,12 +69,9 @@ class RunConfig:
 
     Parameters
     ----------
-    use_kernel / use_columnar:
-        Tri-state switches for the closeness kernel and its columnar
-        store — both value-exact accelerations.
-    columnar_backend:
-        ``auto`` / ``numpy`` / ``python``; forcing ``numpy`` without a
-        usable numpy is a hard error (no silent degradation).
+    use_kernel:
+        Tri-state switch for the closeness kernel — a value-exact
+        acceleration.
     shard_jobs:
         Worker count for sharded Phase-2 allocation; ``0`` = one per
         CPU, ``1`` = serial.
@@ -89,8 +82,6 @@ class RunConfig:
     """
 
     use_kernel: Optional[bool] = None
-    use_columnar: Optional[bool] = None
-    columnar_backend: Optional[str] = None
     shard_jobs: Optional[int] = None
     online: Optional[OnlineSpec] = None
     #: An :class:`~repro.core.energy.EnergySpec` attaching post-hoc
@@ -100,14 +91,6 @@ class RunConfig:
     energy: Optional[EnergySpec] = None
 
     def __post_init__(self) -> None:
-        if self.columnar_backend is not None:
-            name = self.columnar_backend.strip().lower()
-            if name not in ("auto", "numpy", "python"):
-                raise ValueError(
-                    f"unknown columnar backend {self.columnar_backend!r}; "
-                    "expected auto, numpy, or python"
-                )
-            object.__setattr__(self, "columnar_backend", name)
         if self.shard_jobs is not None and self.shard_jobs < 0:
             raise ValueError(
                 f"shard_jobs must be >= 0, got {self.shard_jobs}"
@@ -123,8 +106,6 @@ class RunConfig:
         return replace(
             self,
             use_kernel=kernel_enabled(self.use_kernel),
-            use_columnar=columnar_enabled(self.use_columnar),
-            columnar_backend=resolve_backend(self.columnar_backend),
             shard_jobs=(
                 self.shard_jobs
                 if self.shard_jobs is not None
@@ -141,8 +122,6 @@ class RunConfig:
         """
         return {
             "use_kernel": self.use_kernel,
-            "use_columnar": self.use_columnar,
-            "columnar_backend": self.columnar_backend,
             "online": self.online,
             "energy": self.energy,
         }

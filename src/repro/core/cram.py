@@ -138,8 +138,6 @@ class CramAllocator:
         failure_budget: Optional[int] = None,
         max_iterations: Optional[int] = None,
         use_kernel: Optional[bool] = None,
-        use_columnar: Optional[bool] = None,
-        columnar_backend: Optional[str] = None,
     ):
         if isinstance(metric, str):
             metric = make_metric(metric)
@@ -150,13 +148,6 @@ class CramAllocator:
         self.failure_budget = failure_budget
         self.max_iterations = max_iterations
         self.use_kernel = use_kernel
-        #: Tri-state opt-out of the columnar row store inside the
-        #: kernel (``REPRO_COLUMNAR`` when ``None``).  Like
-        #: ``use_kernel`` this is value-exact — speed only.
-        self.use_columnar = use_columnar
-        #: Columnar backend request (``REPRO_COLUMNAR_BACKEND`` when
-        #: ``None``); both backends are bit-identical by contract.
-        self.columnar_backend = columnar_backend
         self.name = f"cram-{metric.name}"
         self.last_stats = CramStats()
         self._binpack = BinPackingAllocator()
@@ -181,12 +172,7 @@ class CramAllocator:
 
         kernel: Optional[ClosenessKernel] = None
         if kernel_enabled(self.use_kernel):
-            kernel = ClosenessKernel(
-                directory,
-                [unit.profile for unit in units],
-                columnar=self.use_columnar,
-                backend=self.columnar_backend,
-            )
+            kernel = ClosenessKernel(directory, [unit.profile for unit in units])
             stats.kernel_used = True
         self.metric.attach_kernel(kernel)
         self._binpack.kernel = kernel
@@ -674,8 +660,6 @@ class ShardTask:
     failure_budget: Optional[int] = None
     max_iterations: Optional[int] = None
     use_kernel: Optional[bool] = None
-    use_columnar: Optional[bool] = None
-    columnar_backend: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -728,8 +712,6 @@ def run_shard_task(task: ShardTask) -> ShardOutcome:
         failure_budget=task.failure_budget,
         max_iterations=task.max_iterations,
         use_kernel=task.use_kernel,
-        use_columnar=task.use_columnar,
-        columnar_backend=task.columnar_backend,
     )
     units = units_from_records(task.records, task.directory)
     with _recorder_silenced():
@@ -877,8 +859,6 @@ class ShardedCramAllocator:
         failure_budget: Optional[int] = None,
         max_iterations: Optional[int] = None,
         use_kernel: Optional[bool] = None,
-        use_columnar: Optional[bool] = None,
-        columnar_backend: Optional[str] = None,
         runner: Optional[ShardRunner] = None,
     ):
         if isinstance(metric, ClosenessMetric):
@@ -891,8 +871,6 @@ class ShardedCramAllocator:
         self.failure_budget = failure_budget
         self.max_iterations = max_iterations
         self.use_kernel = use_kernel
-        self.use_columnar = use_columnar
-        self.columnar_backend = columnar_backend
         self.runner = runner
         self.name = f"cram-{metric}-sharded"
         self.last_stats = CramStats()
@@ -906,8 +884,6 @@ class ShardedCramAllocator:
             failure_budget=self.failure_budget,
             max_iterations=self.max_iterations,
             use_kernel=self.use_kernel,
-            use_columnar=self.use_columnar,
-            columnar_backend=self.columnar_backend,
         )
 
     def _monolithic(
@@ -951,8 +927,6 @@ class ShardedCramAllocator:
                 failure_budget=self.failure_budget,
                 max_iterations=self.max_iterations,
                 use_kernel=self.use_kernel,
-                use_columnar=self.use_columnar,
-                columnar_backend=self.columnar_backend,
             )
             for index, bucket in enumerate(buckets)
         ]

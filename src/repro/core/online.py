@@ -533,8 +533,6 @@ class OnlineAllocator:
         spec: Optional[OnlineSpec] = None,
         energy: Any = None,
         use_kernel: Optional[bool] = None,
-        use_columnar: Optional[bool] = None,
-        columnar_backend: Optional[str] = None,
     ):
         if spec is None:
             spec = OnlineSpec(strategy=strategy)
@@ -555,8 +553,6 @@ class OnlineAllocator:
             metric=metric,
             failure_budget=failure_budget,
             use_kernel=use_kernel,
-            use_columnar=use_columnar,
-            columnar_backend=columnar_backend,
         )
 
     @property

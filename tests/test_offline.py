@@ -3,7 +3,11 @@
 import pytest
 
 from repro.core.units import units_from_records
-from repro.workloads.offline import offline_gather
+from repro.workloads.offline import (
+    iter_offline_records,
+    offline_directory,
+    offline_gather,
+)
 from repro.workloads.scenarios import cluster_homogeneous
 
 
@@ -58,6 +62,25 @@ class TestOfflineGather:
         for ra, rb in zip(a.records, b.records):
             assert ra.sub_id == rb.sub_id
             assert ra.profile == rb.profile
+
+    def test_iter_offline_records_matches_gather(self):
+        scenario = cluster_homogeneous(
+            subscriptions_per_publisher=8, scale=0.1, profile_capacity=64
+        )
+        eager = offline_gather(scenario, seed=3)
+        directory = offline_directory(scenario)
+        assert {
+            adv_id: repr(profile)
+            for adv_id, profile in directory.items()
+        } == {
+            adv_id: repr(profile)
+            for adv_id, profile in eager.directory.items()
+        }
+        lazy = iter_offline_records(scenario, seed=3, directory=directory)
+        for expected, got in zip(eager.records, lazy, strict=True):
+            assert got.sub_id == expected.sub_id
+            assert got.subscriber_id == expected.subscriber_id
+            assert got.profile.signature() == expected.profile.signature()
 
     def test_units_buildable(self, gathered):
         units = units_from_records(gathered.records, gathered.directory)
